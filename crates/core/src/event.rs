@@ -35,7 +35,10 @@ pub trait Event: Clone + fmt::Debug {
     /// The node calls this on every served event before delivering,
     /// storing or re-proposing it (validate-before-relay); events without
     /// integrity metadata are trivially valid. Implementations must be
-    /// cheap relative to payload size — it runs once per received serve.
+    /// cheap relative to payload size: it runs on every received serve,
+    /// and again on every delivery at each runtime's measurement boundary
+    /// (the simulator harness, the thread-per-node UDP driver and the
+    /// reactor shard count only verified payloads as watched).
     fn verify(&self) -> bool {
         true
     }

@@ -99,22 +99,58 @@ impl StreamPacket {
         StreamPacket { id, published_at, checksum, payload }
     }
 
-    /// The checksum stamped over `(id, published_at, payload)`: FNV-1a,
-    /// folded to 32 bits.
+    /// The checksum stamped over `(id, published_at, payload)`, folded to
+    /// 32 bits.
+    ///
+    /// Word-at-a-time: the payload is read as little-endian `u64` words
+    /// dealt round-robin to four independent lanes, so the multiplies of
+    /// neighbouring words overlap instead of forming one dependent chain.
+    /// Each step, `(lane ^ word) * ODD` rotated, is a bijection of the lane,
+    /// so changing any one word changes that lane's final value. The id, the
+    /// publish time and the payload length enter as words of their own; the
+    /// length is what makes zero-padding the partial tail unambiguous. The
+    /// lanes fold serially (order-sensitive, so swapped words still differ)
+    /// and an avalanche spreads the result before the 32-bit fold.
+    ///
+    /// The value travels on the wire, so changing this function makes
+    /// builds before and after the change reject each other's serves.
     fn compute_checksum(id: PacketId, published_at: Time, payload: &[u8]) -> u32 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
+        const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
+        const MIX: u64 = 0xff51_afd7_ed55_8ccd;
+        #[inline(always)]
+        fn step(lane: u64, word: u64) -> u64 {
+            (lane ^ word).wrapping_mul(ODD).rotate_left(31)
+        }
+        #[inline(always)]
+        fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+            for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(bytes);
+                *lane = step(*lane, u64::from_le_bytes(word));
             }
-        };
-        eat(&id.window.to_le_bytes());
-        eat(&id.index.to_le_bytes());
-        eat(&published_at.as_micros().to_le_bytes());
-        eat(payload);
+        }
+
+        let id_word = u64::from(id.window) | (u64::from(id.index) << 32);
+        let mut lanes = [
+            step(0x243f_6a88_85a3_08d3, id_word),
+            step(0x1319_8a2e_0370_7344, published_at.as_micros()),
+            step(0xa409_3822_299f_31d0, payload.len() as u64),
+            0x082e_fa98_ec4e_6c89,
+        ];
+        let mut blocks = payload.chunks_exact(32);
+        for block in &mut blocks {
+            absorb(&mut lanes, block);
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 32];
+            padded[..tail.len()].copy_from_slice(tail);
+            absorb(&mut lanes, &padded);
+        }
+        let mut h = lanes.iter().fold(0x4528_21e6_38d0_1377, |h, &lane| step(h, lane));
+        h ^= h >> 33;
+        h = h.wrapping_mul(MIX);
+        h ^= h >> 33;
         (h ^ (h >> 32)) as u32
     }
 
@@ -295,6 +331,85 @@ mod tests {
         let mut slice = buf.as_slice();
         let decoded = StreamPacket::decode_event(&mut slice).expect("decodes");
         assert!(!decoded.verify(), "corruption survives the codec for the receiver to catch");
+    }
+
+    /// A deterministic, non-uniform payload of `len` bytes.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(37).wrapping_add(11)).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_and_length_change_is_detected() {
+        // Lengths straddle the 8-byte word, the 32-byte lane block and the
+        // zero-padded tail.
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1000] {
+            let id = PacketId::new(0x1234_5678, 0x9abc);
+            let at = Time::from_micros(0x0102_0304_0506_0708);
+            let payload = patterned(len);
+            let p = StreamPacket::new(id, at, Bytes::from(payload.clone()));
+            assert!(p.verify(), "len {len}: a stamped packet verifies");
+            let forged = |id: PacketId, at: Time, payload: Vec<u8>| {
+                StreamPacket::with_checksum(id, at, p.checksum(), Bytes::from(payload))
+            };
+
+            for bit in 0..len * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(!forged(id, at, flipped).verify(), "len {len}: payload bit {bit}");
+            }
+            for bit in 0..32 {
+                let other = PacketId::new(id.window ^ (1 << bit), id.index);
+                assert!(
+                    !forged(other, at, payload.clone()).verify(),
+                    "len {len}: window bit {bit}"
+                );
+            }
+            for bit in 0..16 {
+                let other = PacketId::new(id.window, id.index ^ (1 << bit));
+                assert!(!forged(other, at, payload.clone()).verify(), "len {len}: index bit {bit}");
+            }
+            for bit in 0..64 {
+                let other = Time::from_micros(at.as_micros() ^ (1 << bit));
+                assert!(!forged(id, other, payload.clone()).verify(), "len {len}: time bit {bit}");
+            }
+
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert!(!forged(id, at, longer).verify(), "len {len}: appended zero byte");
+            if len > 0 {
+                let shorter = payload[..len - 1].to_vec();
+                assert!(!forged(id, at, shorter).verify(), "len {len}: dropped last byte");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_golden_vectors() {
+        // Pinned because the checksum is wire-visible: a change here means
+        // workers built before and after it treat each other's serves as
+        // corrupt, so it must be deliberate and recorded in CHANGES.md.
+        let golden = [
+            (StreamPacket::new(PacketId::new(0, 0), Time::ZERO, Bytes::new()), 0x3238_e8c9),
+            (
+                StreamPacket::new(
+                    PacketId::new(3, 9),
+                    Time::from_millis(77),
+                    Bytes::from(vec![1u8, 2, 3, 4]),
+                ),
+                0x02f5_d7df,
+            ),
+            (
+                StreamPacket::new(
+                    PacketId::new(41, 108),
+                    Time::from_micros(123_456_789),
+                    Bytes::from(patterned(1000)),
+                ),
+                0xcd8b_bad2,
+            ),
+        ];
+        for (packet, checksum) in golden {
+            assert_eq!(packet.checksum(), checksum, "{}", packet.packet_id());
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use bytes::Bytes;
-use gossip_core::wire::{decode_frame, decode_message, encode_message};
+use gossip_core::wire::{decode_frame, decode_message, encode_message, WireEvent};
 use gossip_core::{Event, GossipConfig, GossipNode, Message, Output};
 use gossip_stream::StreamPacket;
 use gossip_types::NodeId;
@@ -176,9 +176,9 @@ proptest! {
         );
         prop_assert!(valid.verify(), "a freshly stamped packet verifies");
         let bad = mangled(&valid, m);
-        // The checksum is FNV-1a, not cryptographic: a collision is
-        // possible in principle, so skip that draw (never observed)
-        // rather than fail.
+        // The checksum is 32 bits and not cryptographic: a collision is
+        // possible in principle for the multi-bit manglings, so skip that
+        // draw (never observed) rather than fail.
         if bad.verify() {
             return;
         }
@@ -266,5 +266,58 @@ proptest! {
             prop_assert!(decode_message::<StreamPacket>(&bytes[..cut]).is_none());
             prop_assert!(decode_frame::<StreamPacket>(&bytes[..cut]).is_none());
         }
+    }
+}
+
+proptest! {
+    /// Flipping any single bit of any payload up to a full datagram's
+    /// worth, under any id and publish time, never verifies.
+    #[test]
+    fn any_single_bit_flip_fails_verification(
+        payload in vec(any::<u8>(), 1..1501),
+        window in any::<u32>(),
+        index in any::<u16>(),
+        micros in any::<u64>(),
+        flip in any::<usize>(),
+    ) {
+        let valid = StreamPacket::new(
+            PacketId::new(window, index),
+            Time::from_micros(micros),
+            Bytes::from(payload.clone()),
+        );
+        prop_assert!(valid.verify(), "a freshly stamped packet verifies");
+        let bit = flip % (payload.len() * 8);
+        let mut flipped = payload;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let bad = StreamPacket::with_checksum(
+            valid.packet_id(),
+            valid.published_at(),
+            valid.checksum(),
+            Bytes::from(flipped),
+        );
+        prop_assert!(!bad.verify(), "payload bit {} flipped yet verified", bit);
+    }
+
+    /// A stamped packet still verifies after an `encode_event` /
+    /// `decode_event` round trip, and comes back equal.
+    #[test]
+    fn codec_round_trip_keeps_verification(
+        payload in vec(any::<u8>(), 0..1501),
+        window in any::<u32>(),
+        index in any::<u16>(),
+        micros in any::<u64>(),
+    ) {
+        let packet = StreamPacket::new(
+            PacketId::new(window, index),
+            Time::from_micros(micros),
+            Bytes::from(payload),
+        );
+        let mut buf = Vec::new();
+        packet.encode_event(&mut buf);
+        let mut input = buf.as_slice();
+        let decoded = StreamPacket::decode_event(&mut input).expect("a fresh encoding decodes");
+        prop_assert!(input.is_empty(), "the decoder consumed the whole encoding");
+        prop_assert!(decoded.verify(), "a round-tripped packet verifies");
+        prop_assert_eq!(decoded, packet);
     }
 }
