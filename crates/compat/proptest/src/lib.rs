@@ -303,7 +303,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: SizeRange,

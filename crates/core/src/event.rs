@@ -37,8 +37,8 @@ pub trait Event: Clone + fmt::Debug {
     /// integrity metadata are trivially valid. Implementations must be
     /// cheap relative to payload size: it runs on every received serve,
     /// and again on every delivery at each runtime's measurement boundary
-    /// (the simulator harness, the thread-per-node UDP driver and the
-    /// reactor shard count only verified payloads as watched).
+    /// (the simulator harness and the reactor shard count only verified
+    /// payloads as watched).
     fn verify(&self) -> bool {
         true
     }

@@ -14,7 +14,7 @@
 //! kernel one datagram for the whole burst; the receiving shard walks the
 //! frames and routes each on its prefix. The framing is runtime overhead,
 //! not protocol bytes: the upload shaper charges only the inner wire size,
-//! so pacing matches the thread-per-node runtime exactly.
+//! so pacing is exactly what the protocol's datagrams cost on the wire.
 //!
 //! The placement scheme is striped: node `g` lives on shard `g % shards`
 //! at local index `g / shards`, and within a shard's socket pool its home

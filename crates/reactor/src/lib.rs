@@ -1,12 +1,11 @@
 //! Sharded shared-socket runtime: thousands of live UDP nodes in one
 //! process.
 //!
-//! The thread-per-node runtime in `gossip-udp` proves the protocol is
-//! deployable, but one OS thread plus one blocking socket per node caps
-//! real-socket experiments at a few hundred nodes. This crate hosts the
-//! same sans-io [`gossip_core::GossipNode`] state machines behind a
-//! *reactor*: a small number of worker **shards**, each an event loop that
-//! owns
+//! This is the live runtime. One OS thread plus one blocking socket per
+//! node would cap real-socket experiments at a few hundred nodes, so this
+//! crate hosts the sans-io [`gossip_core::GossipNode`] state machines behind
+//! a *reactor*: a small number of worker **shards**, each an event loop
+//! that owns
 //!
 //! * a slice of the cluster's **virtual nodes** (protocol state machine,
 //!   stream player, upload shaper, optionally the stream source),
@@ -26,25 +25,26 @@
 //! [`gossip_core::wire`] encoding; the receiving shard routes on the prefix
 //! and strips it before handing the bytes to the protocol codec (see
 //! [`demux`]). The prefix is runtime framing, not protocol bytes: the
-//! upload shaper charges only the inner wire size, so pacing matches the
-//! thread-per-node runtime exactly.
+//! upload shaper charges only the inner wire size, so pacing is exactly
+//! what the protocol's datagrams cost on the wire.
 //!
 //! Nodes are striped across shards (`shard = id % shards`) and across each
 //! shard's socket pool, so consecutive node ids — and with them the
 //! cluster's traffic — spread evenly.
 //!
-//! # One configuration, two runtimes
+//! # One configuration, one report
 //!
-//! [`ReactorCluster::run`] takes the same
-//! [`gossip_udp::cluster::ClusterConfig`] as the thread runtime and
-//! produces the same [`gossip_udp::cluster::ClusterReport`] (assembled by
-//! the shared [`gossip_udp::cluster::assemble_report`]), so results are
-//! directly comparable and experiments switch runtimes with one line.
+//! [`ReactorCluster::run`] takes a [`gossip_udp::cluster::ClusterConfig`]
+//! and produces a [`gossip_udp::cluster::ClusterReport`] (assembled by the
+//! shared [`gossip_udp::cluster::assemble_report`]); `gossipd` workers host
+//! slices of the same configuration through [`NodeHost`], and their merged
+//! reports go through the same assembly. Configure one node per shard if
+//! per-node isolation is wanted.
 //!
 //! # Examples
 //!
 //! Run a loopback cluster on the reactor (see `examples/live_udp.rs` for
-//! the CLI version with `--runtime reactor`):
+//! the CLI version):
 //!
 //! ```no_run
 //! use gossip_reactor::ReactorCluster;

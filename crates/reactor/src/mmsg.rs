@@ -6,20 +6,20 @@
 //! datagram caps the whole runtime at the syscall rate. Linux batches both
 //! directions: `sendmmsg(2)` hands the kernel a vector of datagrams with
 //! per-entry destinations, `recvmmsg(2)` fills a vector of buffers. This
-//! module wraps both behind the [`Backend`] enum so every other line of
+//! module wraps both behind the `Backend` enum so every other line of
 //! the shard is identical on the two paths:
 //!
-//! * **Send** — the shard packs its outbox into a [`SendQueue`]: one flat
+//! * **Send** — the shard packs its outbox into a `SendQueue`: one flat
 //!   reusable byte arena plus a segment table `(offset, len, destination)`.
-//!   [`flush_queue`] then drains the whole queue, [`MAX_VLEN`] datagrams
+//!   `flush_queue` then drains the whole queue, `MAX_VLEN` datagrams
 //!   per syscall, resuming after partial sends (the kernel may accept
 //!   fewer than asked). Send errors go through an explicit taxonomy
-//!   ([`classify`]): *transient* pressure retains the unsent tail for a
+//!   (`classify`): *transient* pressure retains the unsent tail for a
 //!   backed-off retry, `ENOSYS` asks the caller to downgrade the backend,
 //!   and a *fatal* socket error drops exactly the refused datagram,
 //!   retains the rest, and asks the caller to re-bind the socket — the
-//!   [`SendVerdict`] tells the shard which recovery to run.
-//! * **Recv** — a [`RecvQueue`] owns a pool of fixed buffers; one
+//!   `SendVerdict` tells the shard which recovery to run.
+//! * **Recv** — a `RecvQueue` owns a pool of fixed buffers; one
 //!   `recvmmsg` fills up to a batch of them, and the shard demuxes each as
 //!   a borrowed slice.
 //!

@@ -347,8 +347,8 @@ impl NodeHost {
             // first failure is reported.
             let caught = handle
                 .join()
-                .map_err(|_| ClusterError::NodePanic(index))
-                .and_then(|caught| caught.map_err(|_| ClusterError::NodePanic(index)));
+                .map_err(|_| ClusterError::ShardPanic(index))
+                .and_then(|caught| caught.map_err(|_| ClusterError::ShardPanic(index)));
             match caught {
                 Ok((reports, stats, failure)) => {
                     nodes.extend(reports);
@@ -366,15 +366,16 @@ impl NodeHost {
             }
         }
         if aborted == shards && failed_ok == 0 {
-            return Err(first_failure.unwrap_or(ClusterError::NodePanic(0)));
+            return Err(first_failure.unwrap_or(ClusterError::ShardPanic(0)));
         }
         let telemetry = self.telemetry.map(gossip_telemetry::Hub::finish);
         Ok(HostOutcome { nodes, shard_stats, aborted_shards: aborted, degraded, telemetry })
     }
 }
 
-/// The sharded shared-socket cluster runner: same configuration and report
-/// as [`gossip_udp::cluster::UdpCluster`], different hosting model.
+/// The single-process cluster runner: hosts every node of a
+/// [`ClusterConfig`] on sharded shared sockets and returns the assembled
+/// [`ClusterReport`].
 #[derive(Debug)]
 pub struct ReactorCluster;
 
@@ -384,7 +385,7 @@ impl ReactorCluster {
     /// # Errors
     ///
     /// Returns [`ClusterError::Io`] if sockets cannot be bound or a
-    /// shard's socket fails mid-run, and [`ClusterError::NodePanic`] (with
+    /// shard's socket fails mid-run, and [`ClusterError::ShardPanic`] (with
     /// the shard index) if a shard thread dies.
     pub fn run(config: ClusterConfig) -> Result<ClusterReport, ClusterError> {
         Self::run_with(config, ReactorOptions::default())
@@ -428,9 +429,7 @@ mod tests {
         assert_eq!(pinned.resolve_shards(2), 2, "never more shards than nodes");
     }
 
-    #[test]
-    fn smoke_reactor_disseminates() {
-        let report = ReactorCluster::run(ClusterConfig::smoke_test()).expect("cluster runs");
+    fn assert_smoke_disseminates(report: &ClusterReport) {
         assert_eq!(report.receivers(), 7);
         assert!(report.windows_measured >= 3);
         let avg = report.quality.average_quality_percent(gossip_types::Duration::MAX);
@@ -439,6 +438,20 @@ mod tests {
         let decode_errors: u64 = report.nodes.iter().map(|n| n.decode_errors).sum();
         assert_eq!(decode_errors, 0, "no malformed datagrams on loopback");
         assert!(!report.degraded, "an undisturbed run is never degraded");
+    }
+
+    #[test]
+    fn smoke_reactor_disseminates() {
+        assert_smoke_disseminates(&ReactorCluster::run(ClusterConfig::smoke_test()).expect("runs"));
+    }
+
+    /// The smoke cluster split over two shards, so half of all traffic
+    /// crosses shard sockets (the default puts its 8 nodes on one shard).
+    #[test]
+    fn smoke_reactor_disseminates_across_two_shards() {
+        let opts = ReactorOptions { shards: Some(2), ..ReactorOptions::default() };
+        let report = ReactorCluster::run_with(ClusterConfig::smoke_test(), opts).expect("runs");
+        assert_smoke_disseminates(&report);
     }
 
     #[test]

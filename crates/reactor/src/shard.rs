@@ -302,8 +302,7 @@ impl Shard {
             if vn.down {
                 continue; // flash-crowd joiners start dark
             }
-            // Stagger first rounds across one gossip period (thread-per-node
-            // deployments stagger naturally through thread start-up) so the
+            // Stagger first rounds across one gossip period so the
             // cluster's round traffic does not arrive as one synchronised
             // burst on every socket.
             let phase = Duration::from_micros(
@@ -921,13 +920,13 @@ impl Shard {
                     };
                     let bytes = encode_message(vn.id, &msg);
                     let len = bytes.len();
-                    // The shaper charges the unframed wire size, so pacing
-                    // matches the thread runtime byte for byte.
+                    // The shaper charges the unframed wire size, not the
+                    // demux framing.
                     vn.shaper.offer(now, len, (to, bytes));
                 }
                 Output::Deliver { event } => {
                     // Only verified payloads count as watchable (matches
-                    // the sim and thread runtimes' measurement boundary).
+                    // the sim's measurement boundary).
                     if event.verify() {
                         vn.player.on_packet(now, event.packet_id());
                     }

@@ -1,9 +1,9 @@
 //! The per-virtual-node state hosted by a shard.
 //!
-//! A [`VirtualNode`] bundles exactly what one thread owns in the
-//! thread-per-node runtime — protocol state machine, stream player, upload
-//! shaper, optional stream source, impairment state — minus the thread and
-//! the socket: scheduling and I/O belong to the shard.
+//! A [`VirtualNode`] bundles everything one node owns — protocol state
+//! machine, stream player, upload shaper, optional stream source,
+//! impairment state — but no thread and no socket: scheduling and I/O
+//! belong to the shard.
 
 use gossip_adversity::CompiledAdversity;
 use gossip_core::GossipNode;
@@ -15,8 +15,7 @@ use gossip_udp::cluster::ClusterConfig;
 use gossip_udp::report::NodeReport;
 use gossip_udp::shaper::UploadShaper;
 
-/// One hosted node: the same per-node state as `gossip_udp::driver`, owned
-/// by a shard instead of a thread.
+/// One hosted node, owned by a shard.
 pub(crate) struct VirtualNode {
     pub id: NodeId,
     pub node: GossipNode<StreamPacket>,
@@ -50,8 +49,7 @@ pub(crate) struct VirtualNode {
     pub shaper_armed: bool,
     /// Index of this node's home socket in the shard's pool.
     pub home_socket: usize,
-    /// Deterministic per-node stream for injected datagram loss (same
-    /// split constant as the thread runtime, so impairment draws match).
+    /// Deterministic per-node stream for injected datagram loss.
     pub loss_rng: DetRng,
     pub recv_msgs: u64,
     pub decode_errors: u64,

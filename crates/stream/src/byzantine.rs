@@ -3,8 +3,8 @@
 //! A Byzantine peer in this codebase runs the *honest* protocol state
 //! machine; the adversity layer corrupts its **output** at the runtime
 //! boundary, the way compromised middleware (or a tampering relay) would.
-//! Keeping the node honest means every runtime — simulator, reactor,
-//! thread-per-node — injects identical misbehaviour from the same compiled
+//! Keeping the node honest means both runtimes — the simulator and the
+//! reactor — inject identical misbehaviour from the same compiled
 //! profile, and the defense layer in `gossip_core` is exercised against
 //! byte-for-byte the same traffic.
 //!

@@ -6,7 +6,7 @@ use gossip_types::{Duration, Time};
 
 /// Maps monotonic wall-clock instants onto the protocol's [`Time`] axis.
 ///
-/// All drivers of one cluster share a single epoch, so timestamps embedded
+/// All nodes of one cluster share a single epoch, so timestamps embedded
 /// in packets by the source are directly comparable with receiver clocks
 /// (single-machine deployment; distributed deployments would need clock
 /// sync, which is out of scope for the paper's metrics).

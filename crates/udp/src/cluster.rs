@@ -1,30 +1,22 @@
-//! Loopback cluster harness: one source plus N receivers, each a thread
-//! with its own UDP socket.
+//! The description of a live deployment ([`ClusterConfig`]) and of its
+//! outcome ([`ClusterReport`]): one source plus N receivers on real UDP
+//! sockets.
 
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-
-use gossip_adversity::{AdversitySpec, CompiledAdversity, FaultAction};
+use gossip_adversity::{AdversitySpec, CompiledAdversity};
 use gossip_core::GossipConfig;
 use gossip_fec::{WindowDecoder, WindowParams};
-use gossip_sim::DetRng;
 use gossip_stream::source::synth_payload;
 use gossip_stream::{NodeQuality, PacketId, QualityReport, StreamConfig};
 use gossip_types::{Duration, NodeId, Time};
 
-use crate::clock::ClusterClock;
-use crate::driver::{run_node, DriverConfig, JoinPlan, NodeReport};
-use crate::report::ShardStats;
+use crate::report::{NodeReport, ShardStats};
 
 /// Configuration of a loopback deployment.
 ///
-/// This is the runtime-independent description of a run: the thread-per-node
-/// runtime ([`UdpCluster`]) and the sharded reactor runtime (the
-/// `gossip-reactor` crate) both take a `ClusterConfig` and produce a
-/// [`ClusterReport`], so experiments can switch runtimes without touching
-/// their workload definition.
+/// This is the host-independent description of a run: the sharded reactor
+/// runtime (the `gossip-reactor` crate) takes a `ClusterConfig` in-process
+/// and `gossipd` workers receive it from a coordinator; both finish with a
+/// [`ClusterReport`] built by [`assemble_report`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Total nodes including the source.
@@ -55,13 +47,11 @@ pub struct ClusterConfig {
     /// Declarative adversity: catastrophic crashes, Poisson churn,
     /// flash-crowd joins, free-riders and bandwidth classes, compiled
     /// deterministically from the cluster seed (the `gossip-adversity`
-    /// crate). Both runtimes consume the same compilation; the
-    /// thread-per-node runtime supports the crash/free-rider/bandwidth
-    /// subset (see [`UdpCluster::run`]).
+    /// crate). The simulator and the reactor consume the same
+    /// compilation.
     pub adversity: AdversitySpec,
     /// How flash-crowd joiners learn their first peers (see
-    /// [`JoinerBootstrap`]). Consumed by the join-capable reactor runtime;
-    /// the thread-per-node runtime rejects joining specs outright.
+    /// [`JoinerBootstrap`]).
     pub joiner_bootstrap: JoinerBootstrap,
     /// Live telemetry: when set, the runtime starts a metrics registry, a
     /// scrape endpoint and a snapshot sampler for the duration of the run
@@ -122,7 +112,7 @@ impl ClusterConfig {
     /// Compiles the cluster's fault plan: the declarative spec plus the
     /// [`ClusterConfig::crashes`] shorthand (folded in as explicit crash
     /// events), a pure function of `(config, seed)` — so every shard, every
-    /// thread and the report assembly all derive the identical timeline
+    /// process and the report assembly all derive the identical timeline
     /// independently.
     pub fn compiled_adversity(&self) -> CompiledAdversity {
         let mut spec = self.adversity.clone();
@@ -149,15 +139,14 @@ pub struct ClusterReport {
     /// Number of windows whose payloads were fully reconstructed *and*
     /// byte-verified against the source generator, across all receivers.
     pub windows_verified: u64,
-    /// Per-shard I/O statistics (empty for the thread-per-node runtime,
-    /// which has no shards).
+    /// Per-shard I/O statistics (empty when no shard reported, e.g. a
+    /// report assembled straight from node reports).
     pub shard_stats: Vec<ShardStats>,
     /// Reactor shards that aborted mid-run (panicked or died on an
     /// unrecoverable I/O error). A shard that died on an I/O error still
     /// contributes its nodes' partial reports and its [`ShardStats`];
     /// only a panicking shard's nodes are missing from
-    /// [`ClusterReport::nodes`]. Always zero for the thread-per-node
-    /// runtime.
+    /// [`ClusterReport::nodes`].
     pub aborted_shards: usize,
     /// Whether the run was cut short (an operator signal — SIGINT/SIGTERM —
     /// stopped a deployed process before its scheduled deadline, or a
@@ -176,7 +165,7 @@ impl ClusterReport {
     }
 
     /// Cluster-wide I/O totals: every shard's [`ShardStats`] merged into
-    /// one (`None` for the thread-per-node runtime, which reports none).
+    /// one (`None` when no shard reported).
     pub fn io_stats(&self) -> Option<ShardStats> {
         if self.shard_stats.is_empty() {
             return None;
@@ -279,10 +268,10 @@ pub struct ResilienceTotals {
 pub enum ClusterError {
     /// Socket setup or runtime I/O failed.
     Io(std::io::Error),
-    /// A node thread panicked.
-    NodePanic(usize),
-    /// The adversity spec asks for something this runtime cannot host
-    /// (e.g. mid-stream joins or rejoins on the thread-per-node runtime).
+    /// A reactor shard thread panicked (the index is the shard's).
+    ShardPanic(usize),
+    /// The request cannot be hosted: today only a `NodeHost` id slice
+    /// that is empty or runs past the compiled population.
     Unsupported(String),
 }
 
@@ -290,7 +279,7 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::Io(e) => write!(f, "cluster I/O error: {e}"),
-            ClusterError::NodePanic(i) => write!(f, "node thread {i} panicked"),
+            ClusterError::ShardPanic(i) => write!(f, "shard {i} panicked"),
             ClusterError::Unsupported(what) => write!(f, "unsupported by this runtime: {what}"),
         }
     }
@@ -304,142 +293,15 @@ impl From<std::io::Error> for ClusterError {
     }
 }
 
-/// The loopback cluster runner.
-#[derive(Debug)]
-pub struct UdpCluster;
-
-impl UdpCluster {
-    /// Runs a cluster to completion and reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Io`] if sockets cannot be bound or a node's
-    /// socket fails mid-run, and [`ClusterError::NodePanic`] if a node
-    /// thread dies.
-    pub fn run(config: ClusterConfig) -> Result<ClusterReport, ClusterError> {
-        assert!(config.n >= 2, "a cluster needs a source and at least one receiver");
-
-        // One thread per node cannot restart a thread's protocol state
-        // mid-run; it maps the compiled timeline onto per-thread one-shot
-        // crash deadlines plus the static profiles, and shares the full
-        // plan so each thread can walk the network-scoped events
-        // (partitions, throttles) and its Byzantine profile on its own.
-        // Flash-crowd joins are hosted for the Cyclon bootstrap only: a
-        // joiner's thread parks until its join offset, then boots from a
-        // partial view — no cross-thread membership push required. The
-        // tracker bootstrap (push to every established node) and
-        // leave/rejoin churn still need the reactor runtime.
-        let compiled = Arc::new(config.compiled_adversity());
-        if compiled.total_n > compiled.base_n
-            && !matches!(config.joiner_bootstrap, JoinerBootstrap::Cyclon { .. })
-        {
-            return Err(ClusterError::Unsupported(
-                "tracker-bootstrap flash-crowd joins need the reactor runtime \
-                 (`ReactorCluster`) — or use `JoinerBootstrap::Cyclon`"
-                    .to_string(),
-            ));
-        }
-        if compiled.timeline.events().iter().any(|e| matches!(e.action, FaultAction::Rejoin(_))) {
-            return Err(ClusterError::Unsupported(
-                "leave/rejoin churn needs the reactor runtime (`ReactorCluster`)".to_string(),
-            ));
-        }
-
-        // Bind all sockets up front (joiners included) so every thread
-        // starts with the full address book.
-        let total_n = compiled.total_n;
-        let mut sockets = Vec::with_capacity(total_n);
-        let mut addresses = Vec::with_capacity(total_n);
-        for _ in 0..total_n {
-            let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-            addresses.push(socket.local_addr()?);
-            sockets.push(socket);
-        }
-        let addresses: Arc<Vec<SocketAddr>> = Arc::new(addresses);
-        let clock = ClusterClock::start();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Live telemetry: one registry + scrape endpoint + sampler for the
-        // whole cluster; each node thread mirrors its counters into its own
-        // cells (single writer, relaxed stores).
-        let hub = match &config.telemetry {
-            Some(tc) => Some(gossip_telemetry::Hub::start(tc)?),
-            None => None,
-        };
-
-        // Each joiner's introducer sample, drawn deterministically from
-        // the base population (the cluster plays introduction service; the
-        // rest of the joiner's knowledge spreads via shuffles).
-        let mut join_rng = DetRng::seed_from(config.seed).split(0x10_1F);
-
-        let mut handles = Vec::with_capacity(total_n);
-        for (i, socket) in sockets.into_iter().enumerate() {
-            let profile = &compiled.profiles[i];
-            let join = profile.join_at.map(|at| {
-                let JoinerBootstrap::Cyclon { degree } = config.joiner_bootstrap else {
-                    unreachable!("tracker joins were rejected above");
-                };
-                let picked = join_rng.sample_indices(compiled.base_n, degree);
-                JoinPlan {
-                    at: at.saturating_since(Time::ZERO),
-                    bootstrap: picked.into_iter().map(|k| NodeId::new(k as u32)).collect(),
-                }
-            });
-            let uniform_cap =
-                if i == 0 && config.source_uncapped { None } else { config.upload_cap_bps };
-            let driver = DriverConfig {
-                id: NodeId::new(i as u32),
-                gossip: config.gossip.clone(),
-                stream: config.stream,
-                upload_cap_bps: profile.resolve_cap(uniform_cap),
-                max_backlog: config.max_backlog,
-                seed: config.seed,
-                stream_for: (i == 0).then_some(config.stream_duration),
-                inject_loss: config.inject_loss,
-                crash_at: compiled
-                    .first_crash_of(NodeId::new(i as u32))
-                    .map(|at| at.saturating_since(Time::ZERO)),
-                free_rider: profile.free_rider,
-                compiled: Arc::clone(&compiled),
-                join,
-                telemetry: hub
-                    .as_ref()
-                    .map(|h| crate::driver::NodeCells::register(h.registry(), i)),
-            };
-            let addresses = Arc::clone(&addresses);
-            let stop = Arc::clone(&stop);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("gossip-node-{i}"))
-                    .spawn(move || run_node(driver, socket, addresses, clock, stop))
-                    .expect("spawning a thread"),
-            );
-        }
-
-        // Let the cluster run, then stop everyone.
-        thread::sleep(ClusterClock::to_std(config.stream_duration + config.drain_duration));
-        stop.store(true, Ordering::Relaxed);
-
-        let mut nodes = Vec::with_capacity(total_n);
-        for (i, handle) in handles.into_iter().enumerate() {
-            let report = handle.join().map_err(|_| ClusterError::NodePanic(i))??;
-            nodes.push(report);
-        }
-
-        let mut report = assemble_report(&config, nodes);
-        report.telemetry = hub.map(gossip_telemetry::Hub::finish);
-        Ok(report)
-    }
-}
-
 /// Turns the per-node reports of a finished run into a [`ClusterReport`]:
 /// sorts by node id, computes the quality of every *base* receiver over
 /// all fully-published windows except the first, measures flash-crowd
 /// joiners from their arrival window onward, and byte-verifies the
 /// decodable windows through the real Reed–Solomon code.
 ///
-/// Shared by every runtime that hosts a cluster (threads here, shards in
-/// `gossip-reactor`), so their reports are directly comparable.
+/// Shared by everything that hosts a cluster (the in-process reactor and
+/// the `gossip-coord` merge of per-process reports), so their reports are
+/// directly comparable.
 pub fn assemble_report(config: &ClusterConfig, mut nodes: Vec<NodeReport>) -> ClusterReport {
     nodes.sort_by_key(|r| r.id);
     let compiled = config.compiled_adversity();
@@ -513,7 +375,7 @@ pub fn assemble_report(config: &ClusterConfig, mut nodes: Vec<NodeReport>) -> Cl
 /// generated, erase what the node did not receive, run the real
 /// Reed–Solomon reconstruction and compare with the generator output.
 ///
-/// (The drivers do not retain payload bytes — the wire codec round-trip is
+/// (The runtime does not retain payload bytes — the wire codec round-trip is
 /// separately tested — so this validates the *decodability claim* of every
 /// counted window against the actual code.)
 fn verify_windows(config: &ClusterConfig, nodes: &[NodeReport], first: u32, last: u32) -> u64 {
@@ -590,16 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_cluster_disseminates() {
-        let report = UdpCluster::run(ClusterConfig::smoke_test()).expect("cluster runs");
-        assert_eq!(report.receivers(), 7);
-        assert!(report.windows_measured >= 3);
-        // The loopback network is fast and barely loaded: everyone should
-        // get nearly everything.
-        let avg = report.quality.average_quality_percent(Duration::MAX);
-        assert!(avg >= 80.0, "average offline quality {avg}% too low");
-        assert!(report.windows_verified > 0, "some windows must be byte-verified");
-        let decode_errors: u64 = report.nodes.iter().map(|n| n.decode_errors).sum();
-        assert_eq!(decode_errors, 0, "no malformed datagrams on loopback");
+    fn cluster_errors_name_what_failed() {
+        assert_eq!(ClusterError::ShardPanic(3).to_string(), "shard 3 panicked");
+        assert_eq!(
+            ClusterError::Unsupported("id slice [4, 4)".to_string()).to_string(),
+            "unsupported by this runtime: id slice [4, 4)"
+        );
     }
 }

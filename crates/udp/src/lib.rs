@@ -1,40 +1,41 @@
-//! Real-socket runtime: the same sans-io gossip core, driven by
-//! `std::net::UdpSocket`s.
+//! The live-deployment substrate: everything about hosting the sans-io
+//! gossip core on real UDP sockets that does not depend on *how* the nodes
+//! are scheduled.
 //!
-//! The simulator answers the paper's questions at scale; this crate proves
-//! the protocol implementation is *deployable*: every node is a thread with
-//! a real UDP socket on the loopback interface, messages are encoded with
-//! the production wire codec ([`gossip_core::wire`]), uploads are shaped by
-//! a real-time token bucket ([`shaper::UploadShaper`]) and receivers run
-//! full Reed–Solomon reconstruction on every window, verifying the decoded
-//! bytes against the source's payload generator.
+//! The simulator answers the paper's questions at scale; the live runtime
+//! (the sharded reactor in the `gossip-reactor` crate, in-process or as
+//! `gossipd` workers) proves the protocol implementation is *deployable*:
+//! messages are encoded with the production wire codec
+//! ([`gossip_core::wire`]), uploads are shaped in real time
+//! ([`shaper::UploadShaper`]) and receivers' windows are verified through
+//! full Reed–Solomon reconstruction against the source's payload generator.
+//! This crate holds the pieces that runtime shares with its deployment
+//! tooling:
 //!
 //! * [`clock`] — maps wall-clock instants onto the protocol's virtual
 //!   [`gossip_types::Time`];
 //! * [`shaper`] — real-time upload rate limiting (the deployed counterpart
 //!   of the simulator's queueing link);
+//! * [`report`] — the per-node and per-shard run reports;
 //! * [`codec`] — the binary wire form of run reports, for deployments that
 //!   ship per-process reports to a coordinator (`gossip-deploy`);
-//! * [`driver`] — the per-node event loop around [`gossip_core::GossipNode`];
-//! * [`report`] — the per-node run report shared by every runtime;
-//! * [`cluster`] — spawns a source plus N receivers on loopback and collects
-//!   a [`cluster::ClusterReport`].
-//!
-//! The clock, the shaper, [`report::NodeReport`], [`cluster::ClusterConfig`]
-//! and [`cluster::assemble_report`] are the runtime-independent substrate:
-//! the sharded shared-socket runtime in the `gossip-reactor` crate reuses
-//! all of them, so the two runtimes take the same configuration and produce
-//! directly comparable reports.
+//! * [`cluster`] — the run description ([`cluster::ClusterConfig`]) and
+//!   [`cluster::assemble_report`], which turns node reports into a
+//!   byte-verified [`cluster::ClusterReport`].
 //!
 //! # Examples
 //!
-//! Run a small loopback cluster for a few seconds of stream (see
-//! `examples/live_udp.rs` for a fuller version):
+//! Merge the node reports one worker process shipped into a cluster report
+//! (see `examples/live_udp.rs` for running a whole cluster in-process):
 //!
 //! ```no_run
-//! use gossip_udp::cluster::{ClusterConfig, UdpCluster};
+//! use gossip_udp::cluster::{assemble_report, ClusterConfig};
+//! use gossip_udp::codec::decode_process_reports;
 //!
-//! let report = UdpCluster::run(ClusterConfig::smoke_test()).expect("cluster runs");
+//! let config = ClusterConfig::smoke_test();
+//! let bytes = std::fs::read("worker-0.reports").expect("a worker's encoded reports");
+//! let (nodes, _shards) = decode_process_reports(&bytes, &config.stream).expect("decodes");
+//! let report = assemble_report(&config, nodes);
 //! println!("nodes fully decoding: {}/{}", report.nodes_all_windows_ok(), report.receivers());
 //! ```
 
@@ -44,6 +45,5 @@
 pub mod clock;
 pub mod cluster;
 pub mod codec;
-pub mod driver;
 pub mod report;
 pub mod shaper;

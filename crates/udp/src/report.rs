@@ -1,10 +1,10 @@
-//! Per-node run reports, shared by every real-socket runtime.
+//! Per-node and per-shard run reports.
 //!
-//! Both the thread-per-node runtime ([`crate::driver`]) and the sharded
-//! reactor runtime (the `gossip-reactor` crate) finish a run by producing
-//! one [`NodeReport`] per node; [`crate::cluster::assemble_report`] turns
-//! the collection into a [`crate::cluster::ClusterReport`] regardless of
-//! which runtime hosted the nodes.
+//! The reactor runtime (the `gossip-reactor` crate) finishes a run by
+//! producing one [`NodeReport`] per node and one [`ShardStats`] per shard;
+//! [`crate::cluster::assemble_report`] turns the node reports into a
+//! [`crate::cluster::ClusterReport`] whether they came from one process or
+//! were merged from several `gossipd` workers.
 
 use gossip_stream::StreamPlayer;
 use gossip_types::NodeId;
@@ -41,7 +41,7 @@ pub struct NodeReport {
 /// datagram — well below 1.0 once both layers engage) and
 /// [`ShardStats::syscalls_per_iteration`] (how close the loop gets to the
 /// one-`sendmmsg`-plus-one-`recvmmsg`-per-iteration ideal).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Protocol datagrams this shard's nodes put on the wire.
     pub datagrams_sent: u64,

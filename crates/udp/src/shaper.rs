@@ -15,7 +15,7 @@ use gossip_types::{Duration, Time};
 pub struct Shaped<T> {
     /// Earliest time the datagram may be put on the wire.
     pub release_at: Time,
-    /// The datagram (destination + bytes, for the driver).
+    /// The datagram (destination + bytes, for the runtime).
     pub item: T,
 }
 
@@ -23,7 +23,7 @@ pub struct Shaped<T> {
 ///
 /// Unlike the simulator’s `gossip_net::UploadLink` (which models wire
 /// occupancy for a *simulated* network), the shaper only decides *when* the
-/// driver may hand each datagram to the kernel; the loopback interface is
+/// runtime may hand each datagram to the kernel; the loopback interface is
 /// effectively infinitely fast, so pacing is the whole story.
 ///
 /// # Examples
@@ -120,8 +120,7 @@ impl<T> UploadShaper<T> {
     /// Discards every queued datagram and resets pacing — a crashed node's
     /// backlog never reaches the wire, and a later incarnation starts with
     /// a clean bucket. The accepted-traffic counters are kept: they
-    /// describe what the node *offered*, same as in the thread runtime,
-    /// where a crashed node's queue also silently never drains.
+    /// describe what the node *offered*, not what reached the wire.
     pub fn discard_backlog(&mut self) {
         self.queue.clear();
         self.next_free = Time::ZERO;
